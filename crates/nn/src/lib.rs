@@ -23,6 +23,7 @@ pub mod optim;
 pub mod param;
 pub mod quant;
 pub mod scratch;
+pub mod tanh;
 pub mod tape;
 
 pub use layers::{Linear, LstmCell, Mlp};

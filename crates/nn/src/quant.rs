@@ -25,11 +25,11 @@
 //! step: zero codes add zero products, so padded sums equal unpadded
 //! ones bit-for-bit while the kernels run tail-free.
 //!
-//! The quantized path also swaps libm `tanh` for [`tanh_fast`], a fixed
-//! rational approximation (~1e-7 absolute error, three orders below the
-//! 1/127 activation grid) — libm tanh otherwise dominates the forward
-//! and would mask the integer kernels entirely. The f32 serving path is
-//! untouched; its response bytes are pinned.
+//! The quantized path also swaps the exact tanh for [`tanh_fast`], a
+//! fixed rational approximation (~1e-7 absolute error, three orders below
+//! the 1/127 activation grid) that is cheaper still. The f32 path keeps
+//! the glibc-exact kernel in [`crate::tanh`]; its response bytes are
+//! pinned. Switching this path to that kernel would change int8 bytes.
 //!
 //! # Overflow bound
 //!
@@ -354,8 +354,8 @@ unsafe fn gemm_i8_avx2(a: &[i8], bt: &[i8], out: &mut [i32], n: usize, k: usize,
 // Rational tanh approximation (the widely used 13/6-degree float
 // fit): tanh(x) ≈ x·P(x²)/Q(x²) on the clamped range, max absolute
 // error ~1e-7 — three orders of magnitude below the int8 path's 1/127
-// activation grid. libm's `tanhf` costs ~12 ns/element and dominates
-// the f32 forward; this costs ~1 ns and vectorizes.
+// activation grid. It costs ~1 ns/element against ~3 ns for the
+// glibc-exact AVX2 kernel the f32 path uses (`crate::tanh`).
 const TANH_CLAMP: f32 = 7.905_311;
 const TANH_ALPHA: [f32; 7] = [
     -2.760_768_4e-16,
@@ -387,9 +387,9 @@ pub fn tanh_fast(x: f32) -> f32 {
 }
 
 /// In-place fast tanh over a matrix — the quantized path's activation.
-/// The f32 serving path keeps libm `tanh` (its bytes are pinned); the
-/// quantized path trades that for this approximation, which is noise
-/// relative to its own quantization error.
+/// The f32 path uses the glibc-exact [`crate::tanh::tanh_in_place`] (its
+/// bytes are pinned); the quantized path trades that for this
+/// approximation, which is noise relative to its own quantization error.
 pub fn tanh_assign_fast(m: &mut Matrix) {
     #[cfg(target_arch = "x86_64")]
     if crate::matrix::x86::level() >= crate::matrix::x86::LVL_AVX2 {

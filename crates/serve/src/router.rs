@@ -354,9 +354,11 @@ pub(crate) fn io_loop(
         }
 
         // Accept everything pending — even while draining, so a late
-        // connect gets a `draining` answer instead of silence.
+        // connect gets a `draining` answer instead of silence. Nagle is
+        // off: a response written while the previous one is still
+        // unacknowledged must not wait for the client's next segment.
         while let Ok((stream, _)) = listener.accept() {
-            if stream.set_nonblocking(true).is_err() {
+            if stream.set_nonblocking(true).is_err() || stream.set_nodelay(true).is_err() {
                 continue;
             }
             sink.counter("serve.connections", 1);

@@ -9,6 +9,12 @@ cargo clippy --workspace --all-targets -- -D warnings
 cargo build --release
 cargo test -q
 
+# The f32 tanh kernel (AVX2 where present) against its scalar port of
+# glibc's tanhf, bit for bit over all 2^32 inputs (release, ~40 s on 2
+# cores). The port-vs-host-libm sweep in the same file stays out: it
+# only holds where libm is glibc 2.36, and CI runners ship another.
+cargo test -q --release --test tanh_kernel -- --ignored --exact kernel_matches_port_on_every_f32
+
 # End-to-end smoke: generate -> train (with telemetry) -> report on a tiny
 # dataset, exercising the CLI surface and the JSONL metrics pipeline.
 SPG=target/release/spg
