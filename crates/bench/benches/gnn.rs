@@ -1,11 +1,12 @@
-//! Neural microbenches: GNN forward pass, full forward+backward training
-//! step, and one REINFORCE rollout (coarsen → partition → simulate).
+//! Neural microbenches: GNN forward pass (f32 and int8), full
+//! forward+backward training step, and one REINFORCE rollout (coarsen →
+//! partition → simulate).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use spg_core::policy::{CoarseningPolicy, DecodeMode};
-use spg_core::{CoarsenConfig, CoarsenModel};
+use spg_core::{CoarsenConfig, CoarsenModel, InferenceScratch};
 use spg_gen::{DatasetSpec, Setting};
 use spg_graph::{GraphFeatures, TupleRates};
 use spg_nn::Tape;
@@ -26,6 +27,15 @@ fn bench_gnn(c: &mut Criterion) {
 
         group.bench_with_input(BenchmarkId::new("forward", &label), &g, |b, g| {
             b.iter(|| std::hint::black_box(model.predict_probs_with_features(g, &feats)))
+        });
+
+        // Same call shape as `forward`: a fresh arena per call.
+        let quantized = model.quantize();
+        group.bench_with_input(BenchmarkId::new("forward_int8", &label), &g, |b, g| {
+            b.iter(|| {
+                let mut scratch = InferenceScratch::new();
+                std::hint::black_box(quantized.infer_probs(g, &feats, &mut scratch))
+            })
         });
 
         group.bench_with_input(BenchmarkId::new("forward_backward", &label), &g, |b, g| {

@@ -20,12 +20,13 @@ use spg_graph::{GraphFeatures, TopoView};
 use spg_nn::layers::{Activation, Linear, Mlp};
 use spg_nn::{Matrix, ParamSet, Tape, Var};
 
-/// The edge-aware GNN encoder.
+/// The edge-aware GNN encoder. `L` is [`Linear`] for the trainable
+/// model; [`crate::QuantizedModel`] holds an int8 copy.
 #[derive(Debug, Clone)]
-pub struct EdgeAwareGnn {
-    pub(crate) input_proj: Linear,
-    pub(crate) msg: Mlp,
-    pub(crate) update: Linear,
+pub struct EdgeAwareGnn<L = Linear> {
+    pub(crate) input_proj: L,
+    pub(crate) msg: Mlp<L>,
+    pub(crate) update: L,
     pub(crate) hidden: usize,
     pub(crate) hops: usize,
     pub(crate) edge_encoding: bool,

@@ -20,16 +20,20 @@
 //!   per-segment sums add in the same order the COO loop did; divisions
 //!   use the same `/= count`). The `tests/infer.rs` corpus pins
 //!   tape-vs-tape-free equality bit for bit.
+//!
+//! The forward is written once, generic over [`InferLayer`]: the f32
+//! model runs it with [`spg_nn::Linear`] and the exact tanh, the int8
+//! [`QuantizedModel`] with [`QuantizedLinear`] and the fast tanh. Each
+//! precision compiles to its own monomorphised loop.
 
 use crate::collapse::CollapseHead;
 use crate::encoder::EdgeAwareGnn;
 use crate::model::{sigmoid, CoarsenModel};
 use spg_graph::features::{EDGE_FEATURES, NODE_FEATURES};
 use spg_graph::{Csr, GraphFeatures, StreamGraph};
-use spg_nn::quant::tanh_assign_fast;
-use spg_nn::{Matrix, QuantizedLinear, QuantizedMlp};
+use spg_nn::{InferLayer, Matrix, QuantizedLinear, QuantizedMlp};
 
-pub use spg_nn::{InferenceScratch, QuantScratch};
+pub use spg_nn::InferenceScratch;
 
 /// A topology view for inference: edge list plus forward/reverse CSR.
 struct InferTopo<'a> {
@@ -161,10 +165,10 @@ fn concat2(a: &Matrix, b: &Matrix, out: &mut Matrix) {
     }
 }
 
-impl EdgeAwareGnn {
+impl<L: InferLayer> EdgeAwareGnn<L> {
     /// Tape-free [`EdgeAwareGnn::encode`]: returns the `[N x 2m]` node
     /// representation as an arena matrix (bitwise identical to the tape
-    /// path). `put` it back when done.
+    /// path for f32 layers). `put` it back when done.
     fn encode_infer(
         &self,
         topo: &InferTopo<'_>,
@@ -179,9 +183,9 @@ impl EdgeAwareGnn {
         let mut nf = s.take(n, NODE_FEATURES);
         nf.data.copy_from_slice(node_feats);
         let mut h_up = s.take(n, m);
-        self.input_proj.forward_infer(&nf, &mut h_up);
+        self.input_proj.forward_infer(&nf, s, &mut h_up);
         s.put(nf);
-        h_up.tanh_assign();
+        L::tanh(&mut h_up);
 
         if e == 0 {
             let mut out = s.take(n, 2 * m);
@@ -206,26 +210,26 @@ impl EdgeAwareGnn {
             // Upstream view: messages flow along edge direction to dst.
             gather_concat(&h_up, topo.edges, true, &ef, &mut cat);
             let mut msg = self.msg.forward_infer(&cat, s);
-            msg.tanh_assign();
+            L::tanh(&mut msg);
             pool.fill_zero();
             segment_mean_csr(&msg, topo.rev, &mut pool);
             s.put(msg);
             concat2(&h_up, &pool, &mut cat2);
             let mut up_new = s.take(n, m);
-            self.update.forward_infer(&cat2, &mut up_new);
-            up_new.tanh_assign();
+            self.update.forward_infer(&cat2, s, &mut up_new);
+            L::tanh(&mut up_new);
 
             // Downstream view: messages flow against edge direction to src.
             gather_concat(&h_down, topo.edges, false, &ef, &mut cat);
             let mut msg = self.msg.forward_infer(&cat, s);
-            msg.tanh_assign();
+            L::tanh(&mut msg);
             pool.fill_zero();
             segment_mean_csr(&msg, topo.fwd, &mut pool);
             s.put(msg);
             concat2(&h_down, &pool, &mut cat2);
             let mut down_new = s.take(n, m);
-            self.update.forward_infer(&cat2, &mut down_new);
-            down_new.tanh_assign();
+            self.update.forward_infer(&cat2, s, &mut down_new);
+            L::tanh(&mut down_new);
 
             s.put(h_up);
             s.put(h_down);
@@ -245,9 +249,10 @@ impl EdgeAwareGnn {
     }
 }
 
-impl CollapseHead {
+impl<L: InferLayer> CollapseHead<L> {
     /// Tape-free [`CollapseHead::logits`]: per-edge logits `[E x 1]` as
-    /// an arena matrix (bitwise identical to the tape path).
+    /// an arena matrix (bitwise identical to the tape path for f32
+    /// layers).
     fn logits_infer(
         &self,
         topo: &InferTopo<'_>,
@@ -262,17 +267,17 @@ impl CollapseHead {
         let eh = self.edge_proj.output_dim();
 
         let mut head_all = s.take(n, m);
-        self.head_proj.forward_infer(h, &mut head_all);
+        self.head_proj.forward_infer(h, s, &mut head_all);
         let mut tail_all = s.take(n, m);
-        self.tail_proj.forward_infer(h, &mut tail_all);
+        self.tail_proj.forward_infer(h, s, &mut tail_all);
 
         let mut ef_in = s.take(e, EDGE_FEATURES);
         if self.edge_collapse_features {
             ef_in.data.copy_from_slice(edge_feats);
         }
         let mut ef = s.take(e, eh);
-        self.edge_proj.forward_infer(&ef_in, &mut ef);
-        ef.tanh_assign();
+        self.edge_proj.forward_infer(&ef_in, s, &mut ef);
+        L::tanh(&mut ef);
         s.put(ef_in);
 
         let mut cat = s.take(e, 2 * m + eh);
@@ -292,11 +297,15 @@ impl CollapseHead {
     }
 }
 
-impl CoarsenModel {
-    /// Tape-free inference probabilities for one graph, reusing a scratch
-    /// arena across calls. Bitwise identical to the tape forward
-    /// ([`CoarsenModel::forward`] + sigmoid); empty for edgeless graphs.
-    pub fn infer_probs(
+/// The one tape-free forward — encoder, collapse head, sigmoid — over
+/// the encoder and head of a [`CoarsenModel`] (`L` = f32 [`spg_nn::Linear`]) or
+/// a [`QuantizedModel`] (`L` = [`QuantizedLinear`]).
+struct Forward<'m, L>(&'m EdgeAwareGnn<L>, &'m CollapseHead<L>);
+
+impl<L: InferLayer> Forward<'_, L> {
+    /// Collapse probabilities for one graph on its own CSR; empty for
+    /// edgeless graphs.
+    fn probs(
         &self,
         graph: &StreamGraph,
         feats: &GraphFeatures,
@@ -312,24 +321,75 @@ impl CoarsenModel {
             fwd: graph.out_csr(),
             rev: graph.in_csr(),
         };
-        self.infer_probs_topo(&topo, &feats.node.0, &feats.edge.0, scratch)
+        self.probs_topo(&topo, &feats.node.0, &feats.edge.0, scratch)
     }
 
-    fn infer_probs_topo(
+    fn probs_topo(
         &self,
         topo: &InferTopo<'_>,
         node_feats: &[f32],
         edge_feats: &[f32],
         scratch: &mut InferenceScratch,
     ) -> Vec<f32> {
-        let h = self
-            .encoder
-            .encode_infer(topo, node_feats, edge_feats, scratch);
-        let z = self.head.logits_infer(topo, edge_feats, &h, scratch);
+        let h = self.0.encode_infer(topo, node_feats, edge_feats, scratch);
+        let z = self.1.logits_infer(topo, edge_feats, &h, scratch);
         scratch.put(h);
         let probs = z.data.iter().map(|&x| sigmoid(x)).collect();
         scratch.put(z);
         probs
+    }
+
+    /// One forward over the disjoint union of the edged `items`, sliced
+    /// back per item; see [`CoarsenModel::predict_probs_batch_with`].
+    fn probs_batch(
+        &self,
+        union: &mut BatchUnion,
+        scratch: &mut InferenceScratch,
+        keys: Option<&[u64]>,
+        items: &[(&StreamGraph, &GraphFeatures)],
+    ) -> Vec<Vec<f32>> {
+        let mut out: Vec<Vec<f32>> = vec![Vec::new(); items.len()];
+        let edged: Vec<usize> = (0..items.len())
+            .filter(|&i| items[i].0.num_edges() > 0)
+            .collect();
+        if edged.is_empty() {
+            return out;
+        }
+        if edged.len() == 1 {
+            let (g, f) = items[edged[0]];
+            out[edged[0]] = self.probs(g, f, scratch);
+            return out;
+        }
+
+        union.build(items, &edged, keys);
+        let topo = InferTopo {
+            num_nodes: union.num_nodes,
+            edges: &union.edges,
+            fwd: &union.fwd,
+            rev: &union.rev,
+        };
+        let probs = self.probs_topo(&topo, &union.node, &union.edge, scratch);
+        let mut pos = 0;
+        for &i in &edged {
+            let e = items[i].0.num_edges();
+            out[i] = probs[pos..pos + e].to_vec();
+            pos += e;
+        }
+        out
+    }
+}
+
+impl CoarsenModel {
+    /// Tape-free inference probabilities for one graph, reusing a scratch
+    /// arena across calls. Bitwise identical to the tape forward
+    /// ([`CoarsenModel::forward`] + sigmoid); empty for edgeless graphs.
+    pub fn infer_probs(
+        &self,
+        graph: &StreamGraph,
+        feats: &GraphFeatures,
+        scratch: &mut InferenceScratch,
+    ) -> Vec<f32> {
+        Forward(&self.encoder, &self.head).probs(graph, feats, scratch)
     }
 
     /// Batched tape-free inference with explicit state: `union` and
@@ -349,279 +409,70 @@ impl CoarsenModel {
         keys: Option<&[u64]>,
         items: &[(&StreamGraph, &GraphFeatures)],
     ) -> Vec<Vec<f32>> {
-        let mut out: Vec<Vec<f32>> = vec![Vec::new(); items.len()];
-        let edged: Vec<usize> = (0..items.len())
-            .filter(|&i| items[i].0.num_edges() > 0)
-            .collect();
-        if edged.is_empty() {
-            return out;
-        }
-        if edged.len() == 1 {
-            let (g, f) = items[edged[0]];
-            out[edged[0]] = self.infer_probs(g, f, scratch);
-            return out;
-        }
-
-        union.build(items, &edged, keys);
-        let topo = InferTopo {
-            num_nodes: union.num_nodes,
-            edges: &union.edges,
-            fwd: &union.fwd,
-            rev: &union.rev,
-        };
-        let probs = self.infer_probs_topo(&topo, &union.node, &union.edge, scratch);
-        let mut pos = 0;
-        for &i in &edged {
-            let e = items[i].0.num_edges();
-            out[i] = probs[pos..pos + e].to_vec();
-            pos += e;
-        }
-        out
+        Forward(&self.encoder, &self.head).probs_batch(union, scratch, keys, items)
     }
 
     /// Quantize every weight matrix into an int8 [`QuantizedModel`].
     /// Done once at checkpoint load; the f32 model stays untouched.
     pub fn quantize(&self) -> QuantizedModel {
+        let (enc, head) = (&self.encoder, &self.head);
+        let q = QuantizedLinear::from_linear;
         QuantizedModel {
-            input_proj: QuantizedLinear::from_linear(&self.encoder.input_proj),
-            msg: QuantizedMlp::from_mlp(&self.encoder.msg),
-            update: QuantizedLinear::from_linear(&self.encoder.update),
-            head_proj: QuantizedLinear::from_linear(&self.head.head_proj),
-            tail_proj: QuantizedLinear::from_linear(&self.head.tail_proj),
-            edge_proj: QuantizedLinear::from_linear(&self.head.edge_proj),
-            merge: QuantizedMlp::from_mlp(&self.head.merge),
-            hidden: self.encoder.hidden,
-            hops: self.encoder.hops,
-            edge_encoding: self.encoder.edge_encoding,
-            edge_collapse_features: self.head.edge_collapse_features,
+            encoder: EdgeAwareGnn {
+                input_proj: q(&enc.input_proj),
+                msg: QuantizedMlp::from_mlp(&enc.msg),
+                update: q(&enc.update),
+                hidden: enc.hidden,
+                hops: enc.hops,
+                edge_encoding: enc.edge_encoding,
+            },
+            head: CollapseHead {
+                head_proj: q(&head.head_proj),
+                tail_proj: q(&head.tail_proj),
+                edge_proj: q(&head.edge_proj),
+                merge: QuantizedMlp::from_mlp(&head.merge),
+                edge_collapse_features: head.edge_collapse_features,
+            },
         }
     }
 }
 
-/// Int8-quantized twin of [`CoarsenModel`] for the opt-in serve path:
+/// Int8-quantized copy of [`CoarsenModel`] for the opt-in serve path:
 /// every `Linear` becomes a [`QuantizedLinear`] (per-output-channel
-/// symmetric scales fixed at quantization time), while the graph ops
-/// (gather, segment mean, concat) and activations stay f32. Results are
-/// deterministic across replicas and SIMD tiers — the integer
-/// accumulation argument lives in `spg_nn::quant` — but are *not*
-/// bitwise equal to the f32 path; `tests/quantized_agreement.rs` pins
-/// how closely the resulting placements must agree.
+/// symmetric scales fixed at quantization time) and tanh takes the fast
+/// rational form, while the graph ops (gather, segment mean, concat) stay
+/// f32 and shared. Results are deterministic across replicas and SIMD
+/// tiers — the integer accumulation argument lives in `spg_nn::quant` —
+/// but are *not* bitwise equal to the f32 path;
+/// `tests/quantized_agreement.rs` pins how closely the resulting
+/// placements must agree.
 #[derive(Debug, Clone)]
 pub struct QuantizedModel {
-    input_proj: QuantizedLinear,
-    msg: QuantizedMlp,
-    update: QuantizedLinear,
-    head_proj: QuantizedLinear,
-    tail_proj: QuantizedLinear,
-    edge_proj: QuantizedLinear,
-    merge: QuantizedMlp,
-    hidden: usize,
-    hops: usize,
-    edge_encoding: bool,
-    edge_collapse_features: bool,
+    encoder: EdgeAwareGnn<QuantizedLinear>,
+    head: CollapseHead<QuantizedLinear>,
 }
 
 impl QuantizedModel {
-    /// Quantized twin of `EdgeAwareGnn::encode_infer`: same arena
-    /// ping-pong and graph ops, quantized matmuls.
-    fn encode_infer_quantized(
-        &self,
-        topo: &InferTopo<'_>,
-        node_feats: &[f32],
-        edge_feats: &[f32],
-        s: &mut InferenceScratch,
-        q: &mut QuantScratch,
-    ) -> Matrix {
-        let n = topo.num_nodes;
-        let e = topo.edges.len();
-        let m = self.hidden;
-
-        let mut nf = s.take(n, NODE_FEATURES);
-        nf.data.copy_from_slice(node_feats);
-        let mut h_up = s.take(n, m);
-        self.input_proj.forward_infer(&nf, q, &mut h_up);
-        s.put(nf);
-        tanh_assign_fast(&mut h_up);
-
-        if e == 0 {
-            let mut out = s.take(n, 2 * m);
-            concat2(&h_up, &h_up, &mut out);
-            s.put(h_up);
-            return out;
-        }
-
-        let mut h_down = s.take(n, m);
-        h_down.data.copy_from_slice(&h_up.data);
-
-        let mut ef = s.take(e, EDGE_FEATURES);
-        if self.edge_encoding {
-            ef.data.copy_from_slice(edge_feats);
-        }
-
-        let mut cat = s.take(e, m + EDGE_FEATURES);
-        let mut pool = s.take(n, m);
-        let mut cat2 = s.take(n, 2 * m);
-        for _ in 0..self.hops {
-            gather_concat(&h_up, topo.edges, true, &ef, &mut cat);
-            let mut msg = self.msg.forward_infer(&cat, q, s);
-            tanh_assign_fast(&mut msg);
-            pool.fill_zero();
-            segment_mean_csr(&msg, topo.rev, &mut pool);
-            s.put(msg);
-            concat2(&h_up, &pool, &mut cat2);
-            let mut up_new = s.take(n, m);
-            self.update.forward_infer(&cat2, q, &mut up_new);
-            tanh_assign_fast(&mut up_new);
-
-            gather_concat(&h_down, topo.edges, false, &ef, &mut cat);
-            let mut msg = self.msg.forward_infer(&cat, q, s);
-            tanh_assign_fast(&mut msg);
-            pool.fill_zero();
-            segment_mean_csr(&msg, topo.fwd, &mut pool);
-            s.put(msg);
-            concat2(&h_down, &pool, &mut cat2);
-            let mut down_new = s.take(n, m);
-            self.update.forward_infer(&cat2, q, &mut down_new);
-            tanh_assign_fast(&mut down_new);
-
-            s.put(h_up);
-            s.put(h_down);
-            h_up = up_new;
-            h_down = down_new;
-        }
-        s.put(ef);
-        s.put(cat);
-        s.put(pool);
-        s.put(cat2);
-
-        let mut out = s.take(n, 2 * m);
-        concat2(&h_up, &h_down, &mut out);
-        s.put(h_up);
-        s.put(h_down);
-        out
-    }
-
-    /// Quantized twin of `CollapseHead::logits_infer`.
-    fn logits_infer_quantized(
-        &self,
-        topo: &InferTopo<'_>,
-        edge_feats: &[f32],
-        h: &Matrix,
-        s: &mut InferenceScratch,
-        q: &mut QuantScratch,
-    ) -> Matrix {
-        let e = topo.edges.len();
-        assert!(e > 0, "logits need at least one edge");
-        let n = h.rows;
-        let m = self.head_proj.output_dim();
-        let eh = self.edge_proj.output_dim();
-
-        let mut head_all = s.take(n, m);
-        self.head_proj.forward_infer(h, q, &mut head_all);
-        let mut tail_all = s.take(n, m);
-        self.tail_proj.forward_infer(h, q, &mut tail_all);
-
-        let mut ef_in = s.take(e, EDGE_FEATURES);
-        if self.edge_collapse_features {
-            ef_in.data.copy_from_slice(edge_feats);
-        }
-        let mut ef = s.take(e, eh);
-        self.edge_proj.forward_infer(&ef_in, q, &mut ef);
-        tanh_assign_fast(&mut ef);
-        s.put(ef_in);
-
-        let mut cat = s.take(e, 2 * m + eh);
-        for (i, &(u, v)) in topo.edges.iter().enumerate() {
-            let row = cat.row_mut(i);
-            row[..m].copy_from_slice(head_all.row(u as usize));
-            row[m..2 * m].copy_from_slice(tail_all.row(v as usize));
-            row[2 * m..].copy_from_slice(ef.row(i));
-        }
-        s.put(head_all);
-        s.put(tail_all);
-        s.put(ef);
-
-        let logits = self.merge.forward_infer(&cat, q, s);
-        s.put(cat);
-        logits
-    }
-
-    /// Quantized twin of [`CoarsenModel::infer_probs`]: collapse
-    /// probabilities for one graph; empty for edgeless graphs.
+    /// Int8 [`CoarsenModel::infer_probs`]: collapse probabilities for one
+    /// graph; empty for edgeless graphs.
     pub fn infer_probs(
         &self,
         graph: &StreamGraph,
         feats: &GraphFeatures,
         scratch: &mut InferenceScratch,
-        qscratch: &mut QuantScratch,
     ) -> Vec<f32> {
-        if graph.num_edges() == 0 {
-            return Vec::new();
-        }
-        let view = graph.topo_view();
-        let topo = InferTopo {
-            num_nodes: view.num_nodes,
-            edges: view.edges,
-            fwd: graph.out_csr(),
-            rev: graph.in_csr(),
-        };
-        self.infer_probs_topo(&topo, &feats.node.0, &feats.edge.0, scratch, qscratch)
+        Forward(&self.encoder, &self.head).probs(graph, feats, scratch)
     }
 
-    fn infer_probs_topo(
-        &self,
-        topo: &InferTopo<'_>,
-        node_feats: &[f32],
-        edge_feats: &[f32],
-        scratch: &mut InferenceScratch,
-        qscratch: &mut QuantScratch,
-    ) -> Vec<f32> {
-        let h = self.encode_infer_quantized(topo, node_feats, edge_feats, scratch, qscratch);
-        let z = self.logits_infer_quantized(topo, edge_feats, &h, scratch, qscratch);
-        scratch.put(h);
-        let probs = z.data.iter().map(|&x| sigmoid(x)).collect();
-        scratch.put(z);
-        probs
-    }
-
-    /// Quantized twin of [`CoarsenModel::predict_probs_batch_with`]:
-    /// identical batching, union caching, and result slicing; only the
-    /// matmuls are quantized.
+    /// Int8 [`CoarsenModel::predict_probs_batch_with`]: the same
+    /// batching, union caching and result slicing.
     pub fn predict_probs_batch_with(
         &self,
         union: &mut BatchUnion,
         scratch: &mut InferenceScratch,
-        qscratch: &mut QuantScratch,
         keys: Option<&[u64]>,
         items: &[(&StreamGraph, &GraphFeatures)],
     ) -> Vec<Vec<f32>> {
-        let mut out: Vec<Vec<f32>> = vec![Vec::new(); items.len()];
-        let edged: Vec<usize> = (0..items.len())
-            .filter(|&i| items[i].0.num_edges() > 0)
-            .collect();
-        if edged.is_empty() {
-            return out;
-        }
-        if edged.len() == 1 {
-            let (g, f) = items[edged[0]];
-            out[edged[0]] = self.infer_probs(g, f, scratch, qscratch);
-            return out;
-        }
-
-        union.build(items, &edged, keys);
-        let topo = InferTopo {
-            num_nodes: union.num_nodes,
-            edges: &union.edges,
-            fwd: &union.fwd,
-            rev: &union.rev,
-        };
-        let probs = self.infer_probs_topo(&topo, &union.node, &union.edge, scratch, qscratch);
-        let mut pos = 0;
-        for &i in &edged {
-            let e = items[i].0.num_edges();
-            out[i] = probs[pos..pos + e].to_vec();
-            pos += e;
-        }
-        out
+        Forward(&self.encoder, &self.head).probs_batch(union, scratch, keys, items)
     }
 }

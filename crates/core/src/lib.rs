@@ -39,7 +39,7 @@ pub use checkpoint::{
 };
 pub use config::CoarsenConfig;
 pub use fault::{FaultError, FaultEvent, FaultKind, FaultPolicy, FaultStats, RecoveryAction};
-pub use infer::{BatchUnion, InferenceScratch, QuantScratch, QuantizedModel};
+pub use infer::{BatchUnion, InferenceScratch, QuantizedModel};
 pub use model::CoarsenModel;
 pub use pipeline::{CoarsePlacer, CoarsenAllocator, CoarsenOracleAllocator, MetisCoarsePlacer};
 pub use policy::{CoarseningPolicy, DecodeMode};

@@ -33,16 +33,6 @@ impl Linear {
         t.add_row(y, b)
     }
 
-    /// Tape-free forward into a preallocated `out` (`x.rows x output_dim`).
-    /// Reads the weights in place — no parameter clone, no tape node —
-    /// and produces bitwise-identical values to [`Linear::forward`].
-    pub fn forward_infer(&self, x: &Matrix, out: &mut Matrix) {
-        let w = self.w.0.borrow();
-        let b = self.b.0.borrow();
-        x.matmul_into(&w.value, out);
-        out.add_row_assign(&b.value);
-    }
-
     /// Input width.
     pub fn input_dim(&self) -> usize {
         self.w.shape().0
@@ -51,6 +41,43 @@ impl Linear {
     /// Output width.
     pub fn output_dim(&self) -> usize {
         self.w.shape().1
+    }
+}
+
+/// One precision of the tape-free forward: the linear layer it runs —
+/// f32 [`Linear`] or int8 [`crate::QuantizedLinear`] — and the tanh that
+/// layer pairs with. Inference code is generic over it, so both
+/// precisions share one encoder, head and batcher, and each compiles to
+/// its own monomorphised loop.
+pub trait InferLayer {
+    /// Output width.
+    fn output_dim(&self) -> usize;
+
+    /// Forward `x` into a preallocated `out` (`x.rows x output_dim`),
+    /// staging through `scratch` where the precision needs it.
+    fn forward_infer(&self, x: &Matrix, scratch: &mut InferenceScratch, out: &mut Matrix);
+
+    /// This precision's in-place tanh.
+    fn tanh(m: &mut Matrix);
+}
+
+impl InferLayer for Linear {
+    fn output_dim(&self) -> usize {
+        Linear::output_dim(self)
+    }
+
+    /// Reads the weights in place — no parameter clone, no tape node —
+    /// and produces bitwise-identical values to [`Linear::forward`].
+    fn forward_infer(&self, x: &Matrix, _scratch: &mut InferenceScratch, out: &mut Matrix) {
+        let w = self.w.0.borrow();
+        let b = self.b.0.borrow();
+        x.matmul_into(&w.value, out);
+        out.add_row_assign(&b.value);
+    }
+
+    /// The glibc-exact kernel the tape uses, so the bits match it.
+    fn tanh(m: &mut Matrix) {
+        m.tanh_assign();
     }
 }
 
@@ -74,10 +101,11 @@ impl Activation {
         }
     }
 
-    /// In-place variant using the same scalar ops as the tape versions.
-    pub(crate) fn apply_infer(self, x: &mut Matrix) {
+    /// In-place variant; tanh is `L`'s, the rest use the same scalar ops
+    /// as the tape versions.
+    fn apply_infer<L: InferLayer>(self, x: &mut Matrix) {
         match self {
-            Activation::Tanh => x.tanh_assign(),
+            Activation::Tanh => L::tanh(x),
             Activation::Relu => x.relu_assign(),
             Activation::Sigmoid => x.sigmoid_assign(),
         }
@@ -85,9 +113,11 @@ impl Activation {
 }
 
 /// Multi-layer perceptron: hidden layers with activation, linear output.
+/// `L` is [`Linear`] for the trainable model; inference-only copies at
+/// another precision swap in that precision's layer.
 #[derive(Debug, Clone)]
-pub struct Mlp {
-    pub(crate) layers: Vec<Linear>,
+pub struct Mlp<L = Linear> {
+    pub(crate) layers: Vec<L>,
     pub(crate) activation: Activation,
 }
 
@@ -118,19 +148,21 @@ impl Mlp {
         }
         x
     }
+}
 
+impl<L: InferLayer> Mlp<L> {
     /// Tape-free forward; intermediates ping-pong through `scratch`.
-    /// Bitwise identical to [`Mlp::forward`]. The returned matrix comes
-    /// from the arena — `put` it back when done.
+    /// Bitwise identical to [`Mlp::forward`] for f32 layers. The returned
+    /// matrix comes from the arena — `put` it back when done.
     pub fn forward_infer(&self, x: &Matrix, scratch: &mut InferenceScratch) -> Matrix {
         let last = self.layers.len() - 1;
         let mut cur: Option<Matrix> = None;
         for (i, layer) in self.layers.iter().enumerate() {
             let xin = cur.as_ref().unwrap_or(x);
             let mut out = scratch.take(xin.rows, layer.output_dim());
-            layer.forward_infer(xin, &mut out);
+            layer.forward_infer(xin, scratch, &mut out);
             if i != last {
-                self.activation.apply_infer(&mut out);
+                self.activation.apply_infer::<L>(&mut out);
             }
             if let Some(prev) = cur.take() {
                 scratch.put(prev);

@@ -26,10 +26,10 @@ pub mod scratch;
 pub mod tanh;
 pub mod tape;
 
-pub use layers::{Linear, LstmCell, Mlp};
+pub use layers::{InferLayer, Linear, LstmCell, Mlp};
 pub use matrix::{matmul_mode, set_matmul_mode, stable_sigmoid, MatmulMode, Matrix};
 pub use optim::Adam;
 pub use param::{Param, ParamSet};
-pub use quant::{QuantScratch, QuantizedLinear, QuantizedMlp};
+pub use quant::{QuantizedLinear, QuantizedMlp};
 pub use scratch::InferenceScratch;
 pub use tape::{Tape, Var};

@@ -39,7 +39,7 @@
 //! AVX2 kernel is the `_mm256_madd_epi16` pair-sum, bounded by
 //! `2 * 16129`, which also fits i32 with the same slack.
 
-use crate::layers::{Activation, Linear, Mlp};
+use crate::layers::{InferLayer, Linear, Mlp};
 use crate::matrix::Matrix;
 use crate::scratch::InferenceScratch;
 
@@ -476,32 +476,13 @@ unsafe fn dequant_row_avx2(acc: &[i32], sx: f32, w_scale: &[f32], bias: &[f32], 
 }
 
 /// Reusable staging buffers for dynamic activation quantization and the
-/// integer accumulators of one layer forward.
+/// integer accumulators of one layer forward; part of every
+/// [`InferenceScratch`], so both precisions take the same arguments.
 #[derive(Debug, Default)]
-pub struct QuantScratch {
+pub(crate) struct QuantScratch {
     x_q: Vec<i8>,
     x_scale: Vec<f32>,
     acc: Vec<i32>,
-}
-
-impl QuantScratch {
-    /// Empty scratch.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Quantize `x` per-row into the internal buffers, each row padded to
-    /// `padded_cols` so the kernels run tail-free.
-    fn quantize(&mut self, x: &Matrix, padded_cols: usize) {
-        quantize_rows_i8_padded(
-            &x.data,
-            x.rows,
-            x.cols,
-            padded_cols,
-            &mut self.x_q,
-            &mut self.x_scale,
-        );
-    }
 }
 
 /// An int8-quantized [`Linear`]: weights stored transposed `[out x in]`
@@ -549,23 +530,32 @@ impl QuantizedLinear {
     pub fn input_dim(&self) -> usize {
         self.in_dim
     }
+}
 
-    /// Output width.
-    pub fn output_dim(&self) -> usize {
+impl InferLayer for QuantizedLinear {
+    fn output_dim(&self) -> usize {
         self.out_dim
     }
 
-    /// Quantized forward into a preallocated `out` (`x.rows x out_dim`):
-    /// per-row activation quantization, integer GEMM, then dequantize at
+    /// Per-row activation quantization, integer GEMM, then dequantize at
     /// the boundary as `(acc as f32) * x_scale * w_scale + bias`.
-    pub fn forward_infer(&self, x: &Matrix, q: &mut QuantScratch, out: &mut Matrix) {
+    fn forward_infer(&self, x: &Matrix, scratch: &mut InferenceScratch, out: &mut Matrix) {
+        let q = &mut scratch.quant;
         assert_eq!(x.cols, self.in_dim, "quantized forward width mismatch");
         assert_eq!(
             (out.rows, out.cols),
             (x.rows, self.out_dim),
             "quantized forward out shape mismatch"
         );
-        q.quantize(x, self.padded_in);
+        // Rows padded to the SIMD step so the kernels run tail-free.
+        quantize_rows_i8_padded(
+            &x.data,
+            x.rows,
+            x.cols,
+            self.padded_in,
+            &mut q.x_q,
+            &mut q.x_scale,
+        );
         // `gemm_i8` overwrites every accumulator, so grow-only: no zero
         // fill of memory that is about to be written anyway.
         let need = x.rows * self.out_dim;
@@ -596,16 +586,18 @@ impl QuantizedLinear {
             dequant_row(ar, sx, &self.w_scale, &self.bias, or);
         }
     }
+
+    /// The fast rational form: noise next to the int8 grid.
+    fn tanh(m: &mut Matrix) {
+        tanh_assign_fast(m);
+    }
 }
 
-/// An int8-quantized [`Mlp`]: quantized layers with the original f32
+/// An int8-quantized [`Mlp`]: quantized layers with the original
 /// activations applied between them (activations re-quantize per row at
-/// the next layer boundary).
-#[derive(Debug, Clone)]
-pub struct QuantizedMlp {
-    layers: Vec<QuantizedLinear>,
-    activation: Activation,
-}
+/// the next layer boundary). Tanh takes the fast rational form; other
+/// activations are already cheap.
+pub type QuantizedMlp = Mlp<QuantizedLinear>;
 
 impl QuantizedMlp {
     /// Quantize every layer of a trained MLP.
@@ -615,42 +607,12 @@ impl QuantizedMlp {
             activation: m.activation,
         }
     }
-
-    /// Quantized twin of [`Mlp::forward_infer`]: intermediates ping-pong
-    /// through `scratch`, the returned matrix comes from the arena —
-    /// `put` it back when done.
-    pub fn forward_infer(
-        &self,
-        x: &Matrix,
-        q: &mut QuantScratch,
-        scratch: &mut InferenceScratch,
-    ) -> Matrix {
-        let last = self.layers.len() - 1;
-        let mut cur: Option<Matrix> = None;
-        for (i, layer) in self.layers.iter().enumerate() {
-            let xin = cur.as_ref().unwrap_or(x);
-            let mut out = scratch.take(xin.rows, layer.output_dim());
-            layer.forward_infer(xin, q, &mut out);
-            if i != last {
-                // Tanh takes the fast rational form on the quantized
-                // path; other activations are already cheap.
-                match self.activation {
-                    Activation::Tanh => tanh_assign_fast(&mut out),
-                    other => other.apply_infer(&mut out),
-                }
-            }
-            if let Some(prev) = cur.take() {
-                scratch.put(prev);
-            }
-            cur = Some(out);
-        }
-        cur.expect("Mlp has at least one layer")
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layers::Activation;
     use crate::param::ParamSet;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
@@ -847,11 +809,11 @@ mod tests {
             24,
             (0..5 * 24).map(|i| ((i % 17) as f32 - 8.0) * 0.1).collect(),
         );
+        let mut scratch = InferenceScratch::new();
         let mut exact = Matrix::zeros(5, 16);
-        l.forward_infer(&x, &mut exact);
+        l.forward_infer(&x, &mut scratch, &mut exact);
         let mut quant = Matrix::zeros(5, 16);
-        let mut qs = QuantScratch::new();
-        ql.forward_infer(&x, &mut qs, &mut quant);
+        ql.forward_infer(&x, &mut scratch, &mut quant);
 
         // Two 1/127 relative quantization grids (weights + activations)
         // compose to roughly 2% of the row magnitude.
@@ -878,11 +840,10 @@ mod tests {
             (0..30).map(|i| ((i % 13) as f32 - 6.0) * 0.25).collect(),
         );
         let mut scratch = InferenceScratch::new();
-        let mut qs = QuantScratch::new();
-        let a = qmlp.forward_infer(&x, &mut qs, &mut scratch);
+        let a = qmlp.forward_infer(&x, &mut scratch);
         let first = a.data.clone();
         scratch.put(a);
-        let b = qmlp.forward_infer(&x, &mut qs, &mut scratch);
+        let b = qmlp.forward_infer(&x, &mut scratch);
         assert_eq!(
             first.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
             b.data.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
@@ -903,9 +864,8 @@ mod tests {
             (0..32).map(|i| ((i % 11) as f32 - 5.0) * 0.2).collect(),
         );
         let mut scratch = InferenceScratch::new();
-        let mut qs = QuantScratch::new();
         let exact = mlp.forward_infer(&x, &mut scratch);
-        let quant = qmlp.forward_infer(&x, &mut qs, &mut scratch);
+        let quant = qmlp.forward_infer(&x, &mut scratch);
         for (e, q) in exact.data.iter().zip(&quant.data) {
             assert!((e - q).abs() <= 0.1, "exact {e} vs quant {q}");
         }

@@ -8,16 +8,20 @@
 //! the forward at all.
 
 use crate::matrix::Matrix;
+use crate::quant::QuantScratch;
 
 /// Pool of `Vec<f32>` backing stores for inference intermediates.
 ///
 /// `take` returns a zero-filled matrix (reusing the largest pooled
 /// allocation that fits, growing it if needed); `put` returns a matrix's
 /// storage to the pool. Dropping a taken matrix instead of `put`ting it
-/// back is safe — the arena just loses that buffer's reuse.
+/// back is safe — the arena just loses that buffer's reuse. The int8
+/// layers also stage their quantized activations and i32 accumulators
+/// here.
 #[derive(Debug, Default)]
 pub struct InferenceScratch {
     free: Vec<Vec<f32>>,
+    pub(crate) quant: QuantScratch,
 }
 
 impl InferenceScratch {

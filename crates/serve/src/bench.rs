@@ -325,6 +325,10 @@ fn run_connection(
     }
     let stream = TcpStream::connect(addr)?;
     stream.set_read_timeout(Some(Duration::from_secs(30)))?;
+    // Each request is one small write: without nodelay, Nagle holds it
+    // behind the previous request's unacknowledged bytes and the
+    // samples time the client's socket, not the server.
+    stream.set_nodelay(true)?;
     let mut out = stream.try_clone()?;
     // id → (graph index, scheduled send time), precomputed so the reader
     // can match responses while the writer is still pacing sends. The

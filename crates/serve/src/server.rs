@@ -66,6 +66,18 @@ impl fmt::Display for Precision {
     }
 }
 
+impl Precision {
+    /// The cache key (and rollout seed) for a request `fingerprint` at
+    /// this precision. int8 keys live in a tagged space so quantized
+    /// placements never answer an f32 request; f32 keys are untouched.
+    pub fn key(self, fingerprint: u64) -> u64 {
+        match self {
+            Precision::F32 => fingerprint,
+            Precision::Int8 => crate::lru::quantized_fingerprint(fingerprint),
+        }
+    }
+}
+
 impl std::str::FromStr for Precision {
     type Err = String;
 

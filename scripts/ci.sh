@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Tier-1 gate: formatting, lints, release build, root-package tests.
+# Tier-1 gate: formatting, lints, release build, workspace tests.
 # Mirrors .github/workflows/ci.yml so it can run locally or in CI.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -7,7 +7,7 @@ cd "$(dirname "$0")/.."
 cargo fmt --all -- --check
 cargo clippy --workspace --all-targets -- -D warnings
 cargo build --release
-cargo test -q
+cargo test -q --workspace
 
 # The f32 tanh kernel (AVX2 where present) against its scalar port of
 # glibc's tanhf, bit for bit over all 2^32 inputs (release, ~40 s on 2

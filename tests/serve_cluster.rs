@@ -335,9 +335,25 @@ fn drain_completes_in_flight_work_and_refuses_late_arrivals() {
     client.send_line(shutdown_line());
     client.send_line(&alloc_request("after-shutdown", &graphs[0]).to_line());
 
-    // While replicas chew through the backlog: the pre-opened
+    // Read up to the post-shutdown refusal: once it is back, the router
+    // has parsed the shutdown, so the probes below cannot overtake it.
+    // (A timer is not enough: the router reads ready sockets in
+    // connection-id order and `late` has the lower id, so its line could
+    // be parsed before the shutdown.) The refusal is queued inline while
+    // the backlog is still computing, so Ok responses may arrive on
+    // either side of it — match by id, not by order.
+    let mut responses = Vec::new();
+    for _ in 0..graphs.len() + 1 {
+        let resp = client.read_response();
+        let refused = matches!(resp, WireResponse::Err(_));
+        responses.push(resp);
+        if refused {
+            break;
+        }
+    }
+
+    // While the stalled replica holds the backlog: the pre-opened
     // connection and a brand-new connect both get refused by name.
-    std::thread::sleep(std::time::Duration::from_millis(5));
     late.send_line(&alloc_request("late-conn", &graphs[1]).to_line());
     let WireResponse::Err(e) = late.read_response() else {
         panic!("pre-opened late request must be refused")
@@ -351,13 +367,14 @@ fn drain_completes_in_flight_work_and_refuses_late_arrivals() {
     assert_eq!(e.error, "draining");
 
     // Every in-flight request completes, plus exactly one refusal for
-    // the post-shutdown request. The refusal is queued inline by the
-    // router while the backlog is still computing, so it may arrive
-    // ahead of the Ok responses — match by id, not by order.
+    // the post-shutdown request.
+    while responses.len() < graphs.len() + 1 {
+        responses.push(client.read_response());
+    }
     let mut seen = std::collections::HashMap::new();
     let mut refusals = Vec::new();
-    for _ in 0..graphs.len() + 1 {
-        match client.read_response() {
+    for resp in responses {
+        match resp {
             WireResponse::Ok(a) => {
                 seen.insert(a.id.clone(), a.placement.len());
             }
