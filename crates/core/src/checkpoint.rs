@@ -383,6 +383,9 @@ mod tests {
 
     #[test]
     fn roundtrip_preserves_predictions() {
+        // Saves pass the `CheckpointSave` injection site: hold the
+        // serialisation lock so a concurrently armed crash cannot fire here.
+        let _serial = spg_sim::inject::test_serial();
         let mut rng = ChaCha8Rng::seed_from_u64(3);
         let model = CoarsenModel::new(CoarsenConfig::default(), &mut rng);
 
@@ -562,6 +565,9 @@ mod tests {
 
     #[test]
     fn manager_snapshots_on_interval_and_prunes() {
+        // See `roundtrip_preserves_predictions`: saves must not race an
+        // armed `CheckpointSave` crash from another test.
+        let _serial = spg_sim::inject::test_serial();
         let mut rng = ChaCha8Rng::seed_from_u64(2);
         let ckpt = Checkpoint::from_model(&CoarsenModel::new(CoarsenConfig::default(), &mut rng));
         let dir = tmp_dir("manager");
